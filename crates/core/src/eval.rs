@@ -107,7 +107,7 @@
 //!    so a join solution is a result. For `a-inj`/`q-inj` they are a sound
 //!    over-approximation (every simple path is a path): each join solution
 //!    is verified by simple-path / simple-cycle search, or the jointly
-//!    disjoint placement of [`place_atoms`] under `q-inj`. Subtrees whose
+//!    disjoint placement of [`place_disjoint`] under `q-inj`. Subtrees whose
 //!    free-variable projection is already in the result set are pruned —
 //!    only existential variables could still vary there.
 //!
@@ -160,7 +160,9 @@
 //! in `tests/stream_equivalence.rs`.
 
 use crpq_automata::{Nfa, NfaKey};
-use crpq_graph::rpq::{NodeSet, ReachScratch, Relation, RelationRow};
+use crpq_graph::rpq::{
+    NodeSet, PathStates, ReachScratch, Relation, RelationRow, SimplePathScratch,
+};
 use crpq_graph::{rpq, GraphView, NodeId};
 use crpq_query::{Crpq, Var};
 use crpq_util::{BitSet, FxHashMap, FxHashSet, Symbol};
@@ -648,7 +650,7 @@ pub fn eval_contains_union<G: GraphView>(
     u.branches.iter().any(|q| eval_contains(q, g, tuple, sem))
 }
 
-fn enumerate_tuples<G: GraphView, F: FnMut(&[NodeId])>(
+pub(crate) fn enumerate_tuples<G: GraphView, F: FnMut(&[NodeId])>(
     g: &G,
     tuple: &mut Vec<NodeId>,
     pos: usize,
@@ -667,8 +669,11 @@ fn enumerate_tuples<G: GraphView, F: FnMut(&[NodeId])>(
 pub(crate) struct CompiledAtom {
     pub(crate) src: Var,
     pub(crate) dst: Var,
-    nfa: Nfa,
+    pub(crate) nfa: Nfa,
     nfa_rev: Nfa,
+    /// `nfa`'s useful and initial state sets, computed here once for all
+    /// of the atom's simple-path searches.
+    path_states: PathStates,
     /// `ε`-freeness is guaranteed upstream; kept as a debug invariant.
     accepts_epsilon: bool,
     /// Whether the language is factor-deletion closed (only computed under
@@ -690,6 +695,7 @@ fn compile_atoms(variant: &Crpq, analyze: bool) -> Vec<CompiledAtom> {
                 src: a.src,
                 dst: a.dst,
                 nfa_rev: nfa.reverse(),
+                path_states: PathStates::new(&nfa),
                 accepts_epsilon: nfa.accepts_epsilon(),
                 deletion_closed,
                 nfa,
@@ -1114,6 +1120,10 @@ pub(crate) struct JoinPlan<'a, G: GraphView> {
     /// so domain storage and the per-backtracking-step clone+intersect are
     /// `O(candidates)` instead of `O(|V|)` per variable.
     pub(crate) domains: Vec<NodeSet>,
+    /// `domain_lens[v]` = `domains[v].len()`, counted once here: a dense
+    /// domain's `len` is an `O(|V|/64)` popcount, too dear for every
+    /// search node.
+    pub(crate) domain_lens: Vec<usize>,
     /// Some domain is empty — the variant contributes nothing.
     empty: bool,
 }
@@ -1186,7 +1196,8 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             }
         }
 
-        let empty = domains.iter().any(crpq_graph::rpq::NodeSet::is_empty) && variant.num_vars > 0;
+        let domain_lens: Vec<usize> = domains.iter().map(NodeSet::len).collect();
+        let empty = domain_lens.contains(&0) && variant.num_vars > 0;
         JoinPlan {
             g,
             q: variant,
@@ -1194,6 +1205,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             atoms,
             relations,
             domains,
+            domain_lens,
             empty,
         }
     }
@@ -1358,7 +1370,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
             let var = Var(v as u32);
             let (cands, size) = if self.neighbour_rows(var, assignment).is_empty() {
                 let domain = &self.domains[v];
-                let mut size = domain.len();
+                let mut size = self.domain_lens[v];
                 if self.sem == Semantics::QueryInjective {
                     size -= assignment
                         .iter()
@@ -1507,13 +1519,12 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
         true
     }
 
-    /// Per-atom atom-injective feasibility of `(s, d)` for atom `i` —
-    /// the branch structure mirrors [`verify_atom_injective`] exactly
-    /// (semantics-critical), with the standard-reachability answer of the
-    /// deletion-closed fast path constant-`true`: callers only ask about
-    /// pairs already relation-consistent (candidate generation intersects
-    /// every incident row; the domain fold guarantees self-loop pairs).
-    /// Simple-path/-cycle answers are memoised per plan in `scratch`.
+    /// Per-atom atom-injective feasibility of `(s, d)` for atom `i`
+    /// ([`CompiledAtom::ainj_holds`]), memoised per plan in `scratch`. The
+    /// standard-reachability answer of the deletion-closed fast path is
+    /// constant-`true`: callers only ask about pairs already
+    /// relation-consistent (candidate generation intersects every incident
+    /// row; the domain fold guarantees self-loop pairs).
     fn atom_feasible_ainj(
         &self,
         i: usize,
@@ -1521,29 +1532,12 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
         d: NodeId,
         scratch: &mut VerifyScratch,
     ) -> bool {
-        let atom = &self.atoms[i];
-        if atom.src != atom.dst {
-            if s == d {
-                // Simple path from a node to itself is the empty path;
-                // atoms are ε-free, so this is unsatisfiable.
-                return atom.accepts_epsilon;
-            }
-            if atom.deletion_closed {
-                // Loop-pruning lemma: standard reachability is exact, and
-                // it is already enforced by the relations.
-                return true;
-            }
-        }
         let key = (i as u32, s.0, d.0);
         if let Some(&ok) = scratch.atom_memo.get(&key) {
             return ok;
         }
         scratch.ensure_graph(self.g.num_nodes());
-        let ok = if atom.src == atom.dst {
-            rpq::simple_cycle_exists(self.g, &atom.nfa, s, &scratch.empty)
-        } else {
-            rpq::simple_path_exists(self.g, &atom.nfa, s, d, &scratch.empty)
-        };
+        let ok = self.atoms[i].ainj_holds(self.g, s, d, || true, &mut scratch.search);
         scratch.atom_memo.insert(key, ok);
         ok
     }
@@ -1561,16 +1555,16 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
         match self.sem {
             Semantics::Standard => true,
             // Per-atom checks routed through the bind-time memo
-            // ([`Self::atom_feasible_ainj`], same branch structure as
-            // [`verify_atom_injective`] with constant-true `std_reach`):
-            // with inline pruning active, every atom was already checked
-            // when its second endpoint was bound, so this is a handful of
-            // hash lookups.
+            // ([`Self::atom_feasible_ainj`]): with inline pruning active,
+            // every atom was already checked when its second endpoint was
+            // bound, so this is a handful of hash lookups.
             Semantics::AtomInjective => (0..self.atoms.len()).all(|i| {
                 let (s, d) = (mu[self.atoms[i].src.index()], mu[self.atoms[i].dst.index()]);
                 self.atom_feasible_ainj(i, s, d, scratch)
             }),
-            Semantics::QueryInjective => verify_query_injective(self.g, &self.atoms, mu, scratch),
+            Semantics::QueryInjective => {
+                verify_query_injective(self.g, &self.atoms, mu, scratch, None)
+            }
         }
     }
 
@@ -1579,7 +1573,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
     /// variables (pure Boolean check).
     pub(crate) fn split_candidates(&self) -> Option<(Var, Vec<NodeId>)> {
         let var = (0..self.q.num_vars)
-            .min_by_key(|&v| self.domains[v].len())
+            .min_by_key(|&v| self.domain_lens[v])
             .map(|v| Var(v as u32))?;
         let cands = self.domains[var.index()]
             .iter()
@@ -1618,7 +1612,7 @@ impl<'a, G: GraphView> JoinPlan<'a, G> {
 pub(crate) struct VariantEval<'a, G: GraphView> {
     g: &'a G,
     q: &'a Crpq,
-    atoms: Vec<CompiledAtom>,
+    pub(crate) atoms: Vec<CompiledAtom>,
     sem: Semantics,
     reach_fwd: FxHashMap<(usize, NodeId), BitSet>,
     reach_back: FxHashMap<(usize, NodeId), BitSet>,
@@ -1648,44 +1642,11 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
         }
     }
 
-    fn contains(&mut self, tuple: &[NodeId]) -> bool {
-        // Pin free variables; repeated free vars must agree.
-        let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
-        for (&v, &n) in self.q.free.iter().zip(tuple) {
-            match assignment[v.index()] {
-                Some(prev) if prev != n => return false,
-                _ => assignment[v.index()] = Some(n),
-            }
-        }
-        if self.sem == Semantics::QueryInjective {
-            // μ injective: distinct pinned vars need distinct nodes.
-            for i in 0..assignment.len() {
-                for j in i + 1..assignment.len() {
-                    if let (Some(a), Some(b)) = (assignment[i], assignment[j]) {
-                        if a == b {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        let mut found = false;
-        let _ = self.search(&mut assignment, &mut |this, full| {
-            if this.verify(full) {
-                found = true;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
-        found
-    }
-
-    /// Like `contains`, but returns the witnessing assignment and one node
-    /// path per atom instead of a bare boolean.
-    pub(crate) fn contains_witness(
-        &mut self,
-        tuple: &[NodeId],
-    ) -> Option<(Vec<NodeId>, Vec<Vec<NodeId>>)> {
+    /// The assignment pinning the free variables to `tuple`, or `None`
+    /// when no assignment can: repeated free variables must agree, and
+    /// under q-inj (μ injective) distinct pinned variables need distinct
+    /// nodes.
+    fn pin_free(&self, tuple: &[NodeId]) -> Option<Vec<Option<NodeId>>> {
         let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
         for (&v, &n) in self.q.free.iter().zip(tuple) {
             match assignment[v.index()] {
@@ -1694,23 +1655,53 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
             }
         }
         if self.sem == Semantics::QueryInjective {
-            for i in 0..assignment.len() {
-                for j in i + 1..assignment.len() {
-                    if let (Some(a), Some(b)) = (assignment[i], assignment[j]) {
-                        if a == b {
-                            return None;
-                        }
-                    }
-                }
+            let mut pinned: Vec<NodeId> = assignment.iter().flatten().copied().collect();
+            let count = pinned.len();
+            pinned.sort_unstable();
+            pinned.dedup();
+            if pinned.len() != count {
+                return None;
             }
         }
-        let mut witness = None;
-        let _ = self.search(&mut assignment, &mut |this, full| {
-            if let Some(paths) = this.verify_paths(full) {
-                witness = Some((full.to_vec(), paths));
-                return ControlFlow::Break(());
+        Some(assignment)
+    }
+
+    fn contains(&mut self, tuple: &[NodeId]) -> bool {
+        self.any_assignment(tuple, &mut |this, full| this.verify(full))
+    }
+
+    /// Whether some complete assignment pinning the free variables to
+    /// `tuple` passes the reachability pruning and `accept` — the
+    /// membership search with a pluggable final check (the trail
+    /// semantics of [`crate::trail`] plug in theirs).
+    pub(crate) fn any_assignment(
+        &mut self,
+        tuple: &[NodeId],
+        accept: &mut dyn FnMut(&mut Self, &[NodeId]) -> bool,
+    ) -> bool {
+        let Some(mut assignment) = self.pin_free(tuple) else {
+            return false;
+        };
+        self.search(&mut assignment, &mut |this, full| {
+            if accept(this, full) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-            ControlFlow::Continue(())
+        })
+        .is_break()
+    }
+
+    /// Like `contains`, but returns the witnessing assignment and one node
+    /// path per atom instead of a bare boolean.
+    pub(crate) fn contains_witness(
+        &mut self,
+        tuple: &[NodeId],
+    ) -> Option<(Vec<NodeId>, Vec<Vec<NodeId>>)> {
+        let mut witness = None;
+        self.any_assignment(tuple, &mut |this, full| {
+            witness = this.verify_paths(full).map(|paths| (full.to_vec(), paths));
+            witness.is_some()
         });
         witness
     }
@@ -1833,9 +1824,8 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
             }
             Semantics::AtomInjective => {
                 // Split borrows so the deletion-closed fast path can go
-                // through the mutable reachability cache while the shared
-                // verifier reads the atoms and the scratch supplies the
-                // pooled empty blocked set.
+                // through the mutable reachability cache (a cached BFS)
+                // while the scratch supplies the pooled search memory.
                 let VariantEval {
                     g,
                     atoms,
@@ -1844,18 +1834,20 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
                     ..
                 } = self;
                 let g: &G = g;
-                let atoms: &[CompiledAtom] = atoms.as_slice();
-                scratch.prepare(g.num_nodes(), 0);
-                let mut std_reach = |i: usize, s: NodeId, d: NodeId| {
-                    reach_fwd
-                        .entry((i, s))
-                        .or_insert_with(|| rpq::rpq_reach(g, &atoms[i].nfa, s))
-                        .contains(d.index())
-                };
-                verify_atom_injective(g, atoms, mu, &mut std_reach, &scratch.empty)
+                scratch.ensure_graph(g.num_nodes());
+                atoms.iter().enumerate().all(|(i, atom)| {
+                    let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
+                    let std_reach = || {
+                        reach_fwd
+                            .entry((i, s))
+                            .or_insert_with(|| rpq::rpq_reach(g, &atom.nfa, s))
+                            .contains(d.index())
+                    };
+                    atom.ainj_holds(g, s, d, std_reach, &mut scratch.search)
+                })
             }
             Semantics::QueryInjective => {
-                verify_query_injective(self.g, &self.atoms, mu, &mut self.scratch)
+                verify_query_injective(self.g, &self.atoms, mu, &mut self.scratch, None)
             }
         }
     }
@@ -1870,46 +1862,44 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
                     rpq::shortest_path(self.g, &atom.nfa, s, d)
                 })
                 .collect(),
-            Semantics::AtomInjective => (0..self.atoms.len())
-                .map(|i| {
-                    let atom = &self.atoms[i];
-                    let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-                    let mut cap: Option<Vec<NodeId>> = None;
-                    if atom.src == atom.dst {
-                        rpq::for_each_simple_cycle(self.g, &atom.nfa, s, &self.g.node_set(), |p| {
-                            cap = Some(p.to_vec());
-                            ControlFlow::Break(())
-                        });
-                    } else if s == d {
-                        // Only the empty path is simple from a node to
-                        // itself; atoms are ε-free, so this fails.
-                        if atom.accepts_epsilon {
-                            cap = Some(vec![s]);
+            Semantics::AtomInjective => {
+                self.scratch.ensure_graph(self.g.num_nodes());
+                let search = &mut self.scratch.search;
+                self.atoms
+                    .iter()
+                    .map(|atom| {
+                        let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
+                        if atom.src != atom.dst && s == d {
+                            // Only the empty path is simple from a node to
+                            // itself; atoms are ε-free, so this fails.
+                            return atom.accepts_epsilon.then(|| vec![s]);
                         }
-                    } else {
-                        rpq::for_each_simple_path(
+                        let mut cap = None;
+                        let states = &atom.path_states;
+                        let _ = rpq::search_simple_paths(
                             self.g,
                             &atom.nfa,
+                            states,
                             s,
                             d,
-                            &self.g.node_set(),
-                            |p| {
+                            search,
+                            |p, _| {
                                 cap = Some(p.to_vec());
                                 ControlFlow::Break(())
                             },
                         );
-                    }
-                    cap
-                })
-                .collect(),
+                        cap
+                    })
+                    .collect()
+            }
             Semantics::QueryInjective => {
-                self.scratch.prepare(self.g.num_nodes(), self.atoms.len());
-                for &n in mu {
-                    self.scratch.used.insert(n.index());
-                }
                 let mut paths = Vec::with_capacity(self.atoms.len());
-                place_atoms(self.g, &self.atoms, mu, 0, &mut self.scratch, &mut paths)
-                    .then_some(paths)
+                verify_query_injective(self.g, &self.atoms, mu, &mut self.scratch, Some(&mut paths))
+                    .then(|| {
+                        // Placement records paths innermost (last atom) first.
+                        paths.reverse();
+                        paths
+                    })
             }
         }
     }
@@ -1917,24 +1907,15 @@ impl<'a, G: GraphView> VariantEval<'a, G> {
 
 /// Reusable buffers for the injective verification path.
 ///
-/// `simple_path_exists`/`place_atoms` verification used to allocate a
-/// fresh `|V|`-bit blocked set per placement level plus a `Vec` of
-/// internal nodes per candidate path — per *join solution*. The scratch
-/// pools those allocations: the blocked accumulator and the per-depth
-/// snapshot/internal buffers live here and are reused across solutions,
-/// across variants, and (for long-lived callers) across evaluations.
+/// One [`SimplePathScratch`] serves every simple-path search of a-inj and
+/// q-inj verification: its visited set is sized once per graph, is empty
+/// between verifications, and doubles as the blocked set of the q-inj
+/// joint placement, which adds the μ-images and each placed path's
+/// internal nodes and removes exactly those afterwards. No verification
+/// allocates or clears anything proportional to `|V|`.
 pub(crate) struct VerifyScratch {
-    /// Blocked-node accumulator for the q-inj joint placement.
-    used: BitSet,
-    /// Per-depth snapshots of `used` (the enumerator's blocked set).
-    blocked: Vec<BitSet>,
-    /// Per-depth internal-node buffers.
-    internals: Vec<Vec<NodeId>>,
-    /// Pooled path buffer for boolean (non-witness) verification.
-    paths: Vec<Vec<NodeId>>,
-    /// Always-empty set with graph capacity — the "nothing blocked"
-    /// argument of the a-inj per-atom checks. Never mutated after sizing.
-    empty: BitSet,
+    /// Pooled simple-path search memory (visited set, NFA state stack).
+    search: SimplePathScratch,
     /// Pooled projection buffer for the duplicate-result prune (shared
     /// with the [`crate::wcoj`] executor).
     pub(crate) tuple: Vec<NodeId>,
@@ -1952,23 +1933,18 @@ pub(crate) struct VerifyScratch {
 impl VerifyScratch {
     pub(crate) fn new() -> Self {
         VerifyScratch {
-            used: BitSet::new(0),
-            blocked: Vec::new(),
-            internals: Vec::new(),
-            paths: Vec::new(),
-            empty: BitSet::new(0),
+            search: SimplePathScratch::new(BitSet::new(0)),
             tuple: Vec::new(),
             mu: Vec::new(),
             atom_memo: FxHashMap::default(),
         }
     }
 
-    /// Sizes the graph-capacity bitsets without touching their contents
-    /// beyond a (re)allocation — cheap equality check when already sized.
+    /// Sizes the visited set for a graph with `n` nodes — an equality
+    /// check when already sized.
     fn ensure_graph(&mut self, n: usize) {
-        if self.used.capacity() != n {
-            self.used = BitSet::new(n);
-            self.empty = BitSet::new(n);
+        if self.search.visited.capacity() != n {
+            self.search = SimplePathScratch::new(BitSet::new(n));
         }
     }
 
@@ -1981,162 +1957,102 @@ impl VerifyScratch {
         self.ensure_graph(n);
         self.atom_memo.clear();
     }
-
-    /// Sizes the pools for a graph with `n` nodes and a placement search
-    /// `depth` atoms deep, and clears the blocked accumulator.
-    fn prepare(&mut self, n: usize, depth: usize) {
-        self.ensure_graph(n);
-        self.used.clear();
-        while self.blocked.len() < depth {
-            self.blocked.push(BitSet::new(0));
-        }
-        while self.internals.len() < depth {
-            self.internals.push(Vec::new());
-        }
-    }
 }
 
-impl Default for VerifyScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Shared atom-injective verification backing both engines: every atom
-/// needs a simple path (simple cycle for `x -L-> x` atoms). `std_reach(i,
-/// s, d)` supplies the standard-reachability answer that the
-/// deletion-closed fast path relies on — a relation lookup in the join
-/// engine (already enforced during the search), a cached BFS in the
-/// membership engine. `empty` is a pooled always-empty blocked set sized
-/// for `g` (see [`VerifyScratch`]). Branch order is semantics-critical;
-/// keep the two callers on this one implementation.
-fn verify_atom_injective<G: GraphView>(
-    g: &G,
-    atoms: &[CompiledAtom],
-    mu: &[NodeId],
-    std_reach: &mut dyn FnMut(usize, NodeId, NodeId) -> bool,
-    empty: &BitSet,
-) -> bool {
-    debug_assert!(empty.is_empty() && empty.capacity() == g.num_nodes());
-    atoms.iter().enumerate().all(|(i, atom)| {
-        let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-        if atom.src == atom.dst {
-            rpq::simple_cycle_exists(g, &atom.nfa, s, empty)
-        } else if s == d {
+impl CompiledAtom {
+    /// Atom-injective check of `(s, d)`: a simple path `s → d` (a simple
+    /// cycle for `x -L-> x` atoms) labelled in the atom's language, shared
+    /// by both engines. `std_reach` answers standard reachability for the
+    /// deletion-closed fast path; `search.visited` must be empty. Branch
+    /// order is semantics-critical.
+    fn ainj_holds<G: GraphView>(
+        &self,
+        g: &G,
+        s: NodeId,
+        d: NodeId,
+        std_reach: impl FnOnce() -> bool,
+        search: &mut SimplePathScratch,
+    ) -> bool {
+        if self.src != self.dst && s == d {
             // Simple path from a node to itself is the empty path; atoms
             // are ε-free, so this is unsatisfiable.
-            atom.accepts_epsilon
-        } else if atom.deletion_closed {
+            self.accepts_epsilon
+        } else if self.src != self.dst && self.deletion_closed {
             // Loop-pruning lemma: for deletion-closed languages a walk
             // witness prunes to a simple path still in the language, so
             // standard reachability is exact.
-            std_reach(i, s, d)
+            std_reach()
         } else {
-            rpq::simple_path_exists(g, &atom.nfa, s, d, empty)
+            let states = &self.path_states;
+            rpq::search_simple_paths(g, &self.nfa, states, s, d, search, |_, _| {
+                ControlFlow::Break(())
+            })
+            .is_break()
         }
-    })
+    }
 }
 
 /// Shared query-injective verification backing both engines: jointly place
 /// internally disjoint simple paths for all atoms, with every μ-image
-/// blocked as a path internal. All working sets come from `scratch`.
+/// blocked as a path internal. With `witness`, the placed paths are
+/// pushed there, last atom first.
 fn verify_query_injective<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
     mu: &[NodeId],
     scratch: &mut VerifyScratch,
+    mut witness: Option<&mut Vec<Vec<NodeId>>>,
 ) -> bool {
-    scratch.prepare(g.num_nodes(), atoms.len());
-    for &n in mu {
-        scratch.used.insert(n.index());
+    scratch.ensure_graph(g.num_nodes());
+    let search = &mut scratch.search;
+    // The visited set is empty between verifications and μ is injective
+    // under q-inj, so removing every μ-image afterwards restores it.
+    for n in mu {
+        search.visited.insert(n.index());
     }
-    let mut paths = std::mem::take(&mut scratch.paths);
-    paths.clear();
-    let ok = place_atoms(g, atoms, mu, 0, scratch, &mut paths);
-    scratch.paths = paths;
+    let ok = place_disjoint(g, atoms, mu, search, &mut witness);
+    for n in mu {
+        search.visited.remove(n.index());
+    }
     ok
 }
 
-/// Recursively places atom paths so that no internal node is reused
-/// (query-injective joint search). On success, `paths` holds the chosen
-/// node path for every atom from `i` onwards (earlier entries untouched).
-/// Callers must have run `scratch.prepare(n, atoms.len())` and seeded
-/// `scratch.used` with the μ-images.
-fn place_atoms<G: GraphView>(
+/// Places a simple path for the first atom avoiding `search.visited`, then
+/// — from inside the search, with that path's internal nodes still in the
+/// visited set — the rest of the atoms, backtracking to the first atom's
+/// next path when the rest cannot be placed.
+fn place_disjoint<G: GraphView>(
     g: &G,
     atoms: &[CompiledAtom],
     mu: &[NodeId],
-    i: usize,
-    scratch: &mut VerifyScratch,
-    paths: &mut Vec<Vec<NodeId>>,
+    search: &mut SimplePathScratch,
+    witness: &mut Option<&mut Vec<Vec<NodeId>>>,
 ) -> bool {
-    if i == atoms.len() {
+    let Some((atom, rest)) = atoms.split_first() else {
         return true;
-    }
-    let atom = &atoms[i];
-    let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-    let mut placed = false;
-    // Snapshot of the blocked set for the enumeration: `try_rest` restores
-    // `used` to exactly this state before the enumerator resumes, so the
-    // snapshot stays accurate throughout. The snapshot buffer is pooled
-    // per depth; it is moved out so the closure can borrow `scratch`.
-    let mut blocked = std::mem::replace(&mut scratch.blocked[i], BitSet::new(0));
-    blocked.copy_from(&scratch.used);
-    let complete = if atom.src == atom.dst {
-        rpq::for_each_simple_cycle(g, &atom.nfa, s, &blocked, |path| {
-            try_rest(g, atoms, mu, i, scratch, path, &mut placed, paths)
-        })
-    } else {
-        rpq::for_each_simple_path(g, &atom.nfa, s, d, &blocked, |path| {
-            try_rest(g, atoms, mu, i, scratch, path, &mut placed, paths)
-        })
     };
-    scratch.blocked[i] = blocked;
-    debug_assert!(complete || placed);
-    placed
-}
-
-fn try_rest<G: GraphView>(
-    g: &G,
-    atoms: &[CompiledAtom],
-    mu: &[NodeId],
-    i: usize,
-    scratch: &mut VerifyScratch,
-    path: &[NodeId],
-    placed: &mut bool,
-    paths: &mut Vec<Vec<NodeId>>,
-) -> ControlFlow<()> {
-    // Internal nodes of `path` (endpoints are μ-images, already in `used`);
-    // the buffer is pooled per depth.
-    let mut internals = std::mem::take(&mut scratch.internals[i]);
-    internals.clear();
-    internals.extend(
-        path[1..path.len().saturating_sub(1)]
-            .iter()
-            .copied()
-            .filter(|n| !scratch.used.contains(n.index())),
-    );
-    debug_assert_eq!(
-        internals.len(),
-        path.len().saturating_sub(2),
-        "simple-path search must avoid used internals"
-    );
-    for n in &internals {
-        scratch.used.insert(n.index());
+    let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
+    if atom.src != atom.dst && s == d {
+        return false; // only the empty path is simple, and atoms are ε-free
     }
-    paths.truncate(i);
-    paths.push(path.to_vec());
-    let ok = place_atoms(g, atoms, mu, i + 1, scratch, paths);
-    for n in &internals {
-        scratch.used.remove(n.index());
-    }
-    scratch.internals[i] = internals;
-    if ok {
-        *placed = true;
-        ControlFlow::Break(())
-    } else {
-        ControlFlow::Continue(())
-    }
+    rpq::search_simple_paths(
+        g,
+        &atom.nfa,
+        &atom.path_states,
+        s,
+        d,
+        search,
+        |path, search| {
+            if !place_disjoint(g, rest, mu, search, witness) {
+                return ControlFlow::Continue(());
+            }
+            if let Some(paths) = witness {
+                paths.push(path.to_vec());
+            }
+            ControlFlow::Break(())
+        },
+    )
+    .is_break()
 }
 
 #[cfg(test)]

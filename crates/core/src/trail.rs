@@ -24,11 +24,11 @@
 //! paper's §7 outlook leaves this definitional choice open; we take the
 //! disjoint-trails reading (the natural "edge-consuming" semantics).
 
-use crpq_automata::Nfa;
+use crate::eval::{enumerate_tuples, CompiledAtom, Semantics, VariantEval};
 use crpq_graph::rpq::{self, Edge};
 use crpq_graph::{GraphDb, NodeId};
-use crpq_query::{Crpq, Var};
-use crpq_util::{BitSet, FxHashMap, FxHashSet};
+use crpq_query::Crpq;
+use crpq_util::FxHashSet;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
@@ -85,7 +85,7 @@ pub fn eval_contains_trail(q: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: TrailSe
     );
     q.epsilon_free_union()
         .iter()
-        .any(|variant| TrailEval::new(variant, g, sem).contains(tuple))
+        .any(|variant| contains_trail(variant, g, tuple, sem))
 }
 
 /// Whether the Boolean query holds under a trail semantics.
@@ -101,230 +101,56 @@ pub fn eval_boolean_trail(q: &Crpq, g: &GraphDb, sem: TrailSemantics) -> bool {
 pub fn eval_tuples_trail(q: &Crpq, g: &GraphDb, sem: TrailSemantics) -> Vec<Vec<NodeId>> {
     let mut out = BTreeSet::new();
     let variants = q.epsilon_free_union();
-    let arity = q.free.len();
-    let mut tuple = vec![NodeId(0); arity];
-    fn rec(
-        g: &GraphDb,
-        variants: &[Crpq],
-        sem: TrailSemantics,
-        tuple: &mut Vec<NodeId>,
-        pos: usize,
-        out: &mut BTreeSet<Vec<NodeId>>,
-    ) {
-        if pos == tuple.len() {
-            if variants
-                .iter()
-                .any(|v| TrailEval::new(v, g, sem).contains(tuple))
-            {
-                out.insert(tuple.clone());
-            }
-            return;
+    let mut tuple = vec![NodeId(0); q.free.len()];
+    enumerate_tuples(g, &mut tuple, 0, &mut |tuple: &[NodeId]| {
+        if variants.iter().any(|v| contains_trail(v, g, tuple, sem)) {
+            out.insert(tuple.to_vec());
         }
-        for v in g.nodes() {
-            tuple[pos] = v;
-            rec(g, variants, sem, tuple, pos + 1, out);
-        }
-    }
-    rec(g, &variants, sem, &mut tuple, 0, &mut out);
+    });
     out.into_iter().collect()
 }
 
-struct TrailAtom {
-    src: Var,
-    dst: Var,
-    nfa: Nfa,
-    nfa_rev: Nfa,
-}
-
-struct TrailEval<'a> {
-    g: &'a GraphDb,
-    q: &'a Crpq,
-    atoms: Vec<TrailAtom>,
-    sem: TrailSemantics,
-    reach_fwd: FxHashMap<(usize, NodeId), BitSet>,
-    reach_back: FxHashMap<(usize, NodeId), BitSet>,
-}
-
-impl<'a> TrailEval<'a> {
-    fn new(variant: &'a Crpq, g: &'a GraphDb, sem: TrailSemantics) -> Self {
-        let atoms = variant
-            .atoms
-            .iter()
-            .map(|a| {
-                let nfa = a.nfa();
-                debug_assert!(!nfa.accepts_epsilon(), "variants must be ε-free");
-                TrailAtom {
-                    src: a.src,
-                    dst: a.dst,
-                    nfa_rev: nfa.reverse(),
-                    nfa,
-                }
-            })
-            .collect();
-        TrailEval {
-            g,
-            q: variant,
-            atoms,
-            sem,
-            reach_fwd: FxHashMap::default(),
-            reach_back: FxHashMap::default(),
-        }
-    }
-
-    fn contains(&mut self, tuple: &[NodeId]) -> bool {
-        let mut assignment: Vec<Option<NodeId>> = vec![None; self.q.num_vars];
-        for (&v, &n) in self.q.free.iter().zip(tuple) {
-            match assignment[v.index()] {
-                Some(prev) if prev != n => return false,
-                _ => assignment[v.index()] = Some(n),
-            }
-        }
-        // NOTE: no injectivity requirement on μ under trail semantics.
-        let mut found = false;
-        let _ = self.search(&mut assignment, &mut |this, full| {
-            if this.verify(full) {
-                found = true;
-                return ControlFlow::Break(());
-            }
-            ControlFlow::Continue(())
-        });
-        found
-    }
-
-    fn search(
-        &mut self,
-        assignment: &mut Vec<Option<NodeId>>,
-        visit: &mut dyn FnMut(&mut Self, &[NodeId]) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let mut best: Option<(Var, Vec<NodeId>)> = None;
-        for v in 0..assignment.len() {
-            if assignment[v].is_some() {
-                continue;
-            }
-            let cands = self.candidates(Var(v as u32), assignment);
-            if cands.is_empty() {
-                return ControlFlow::Continue(());
-            }
-            let better = best.as_ref().is_none_or(|(_, c)| cands.len() < c.len());
-            if better {
-                let single = cands.len() == 1;
-                best = Some((Var(v as u32), cands));
-                if single {
-                    break;
-                }
-            }
-        }
-        let Some((var, cands)) = best else {
-            let full: Vec<NodeId> = assignment.iter().map(|a| a.unwrap()).collect(); // invariant: every variable is bound at a leaf
-            return visit(self, &full);
-        };
-        for node in cands {
-            assignment[var.index()] = Some(node);
-            self.search(assignment, visit)?;
-            assignment[var.index()] = None;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn reach_fwd(&mut self, atom: usize, from: NodeId) -> &BitSet {
-        if !self.reach_fwd.contains_key(&(atom, from)) {
-            let set = rpq::rpq_reach(self.g, &self.atoms[atom].nfa, from);
-            self.reach_fwd.insert((atom, from), set);
-        }
-        &self.reach_fwd[&(atom, from)]
-    }
-
-    fn reach_back(&mut self, atom: usize, to: NodeId) -> &BitSet {
-        if !self.reach_back.contains_key(&(atom, to)) {
-            let set = rpq::rpq_reach_back(self.g, &self.atoms[atom].nfa_rev, to);
-            self.reach_back.insert((atom, to), set);
-        }
-        &self.reach_back[&(atom, to)]
-    }
-
-    fn candidates(&mut self, var: Var, assignment: &[Option<NodeId>]) -> Vec<NodeId> {
-        let mut domain: Option<BitSet> = None;
-        let restrict = |domain: &mut Option<BitSet>, set: &BitSet| match domain {
-            None => *domain = Some(set.clone()),
-            Some(d) => d.intersect_with(set),
-        };
-        for i in 0..self.atoms.len() {
-            let (src, dst) = (self.atoms[i].src, self.atoms[i].dst);
-            if src == var && dst == var {
-                continue;
-            }
-            if src == var {
-                if let Some(dst_node) = assignment[dst.index()] {
-                    let set = self.reach_back(i, dst_node).clone();
-                    restrict(&mut domain, &set);
-                }
-            }
-            if dst == var {
-                if let Some(src_node) = assignment[src.index()] {
-                    let set = self.reach_fwd(i, src_node).clone();
-                    restrict(&mut domain, &set);
-                }
-            }
-        }
-        let mut cands: Vec<NodeId> = match domain {
-            Some(d) => d.iter().map(|i| NodeId(i as u32)).collect(),
-            None => self.g.nodes().collect(),
-        };
-        let loop_atoms: Vec<usize> = (0..self.atoms.len())
-            .filter(|&i| self.atoms[i].src == var && self.atoms[i].dst == var)
-            .collect();
-        for i in loop_atoms {
-            cands.retain(|&n| rpq::rpq_reach(self.g, &self.atoms[i].nfa, n).contains(n.index()));
-        }
-        cands
-    }
-
-    fn verify(&mut self, mu: &[NodeId]) -> bool {
-        match self.sem {
-            TrailSemantics::AtomTrail => (0..self.atoms.len()).all(|i| {
-                let atom = &self.atoms[i];
+/// Membership of `tuple` in one ε-free variant: the membership engine's
+/// search under standard semantics (trail semantics put no injectivity
+/// requirement on μ) with the trail check on complete assignments.
+fn contains_trail(variant: &Crpq, g: &GraphDb, tuple: &[NodeId], sem: TrailSemantics) -> bool {
+    VariantEval::new(variant, g, Semantics::Standard).any_assignment(tuple, &mut |this, mu| {
+        let atoms = &this.atoms;
+        match sem {
+            TrailSemantics::AtomTrail => atoms.iter().all(|atom| {
                 let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-                rpq::trail_exists(self.g, &atom.nfa, s, d)
+                rpq::trail_exists(g, &atom.nfa, s, d)
             }),
-            TrailSemantics::QueryTrail => {
-                let mut used: FxHashSet<Edge> = FxHashSet::default();
-                place_trails(self.g, &self.atoms, mu, 0, &mut used)
-            }
+            TrailSemantics::QueryTrail => place_trails(g, atoms, mu, &mut FxHashSet::default()),
         }
-    }
+    })
 }
 
-/// Joint edge-disjoint placement for query-trail semantics.
+/// Joint edge-disjoint placement for query-trail semantics: a trail for
+/// the first atom avoiding `used`, then the rest avoiding it as well.
 fn place_trails(
     g: &GraphDb,
-    atoms: &[TrailAtom],
+    atoms: &[CompiledAtom],
     mu: &[NodeId],
-    i: usize,
     used: &mut FxHashSet<Edge>,
 ) -> bool {
-    if i == atoms.len() {
+    let Some((atom, rest)) = atoms.split_first() else {
         return true;
-    }
-    let atom = &atoms[i];
+    };
     let (s, d) = (mu[atom.src.index()], mu[atom.dst.index()]);
-    let mut placed = false;
     let blocked = used.clone();
-    rpq::for_each_trail(g, &atom.nfa, s, d, &blocked, |edges| {
-        for e in edges {
-            used.insert(*e);
-        }
-        let ok = place_trails(g, atoms, mu, i + 1, used);
+    !rpq::for_each_trail(g, &atom.nfa, s, d, &blocked, |edges| {
+        used.extend(edges);
+        let ok = place_trails(g, rest, mu, used);
         for e in edges {
             used.remove(e);
         }
         if ok {
-            placed = true;
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
         }
-    });
-    placed
+    })
 }
 
 #[cfg(test)]

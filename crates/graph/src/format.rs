@@ -310,9 +310,9 @@ pub fn from_binary(mut data: Bytes) -> Result<GraphDb, FormatError> {
     // decode we know how many bytes the sections consumed, and can verify
     // the trailing checksum (when present) against exactly those bytes.
     let payload = data.clone();
-    let num_labels = checked_u32(&mut data, total, "label count")?;
+    let num_labels = record_count(&mut data, total, "label count")?;
     let mut labels = crpq_util::Interner::new();
-    let mut label_syms = Vec::with_capacity(num_labels as usize);
+    let mut label_syms = Vec::with_capacity(num_labels);
     for _ in 0..num_labels {
         let name = get_str(&mut data, total)?;
         label_syms.push(labels.intern(&name));
@@ -335,7 +335,11 @@ pub fn from_binary(mut data: Bytes) -> Result<GraphDb, FormatError> {
             }
         }
     };
-    let num_nodes = checked_u32(&mut data, total, "node count")? as usize;
+    let num_nodes = if named {
+        record_count(&mut data, total, "node count")?
+    } else {
+        checked_u32(&mut data, total, "node count")? as usize
+    };
     let mut b = if named {
         let mut b = GraphBuilder::with_alphabet(labels);
         for _ in 0..num_nodes {
@@ -421,6 +425,25 @@ fn get_str(data: &mut Bytes, total: usize) -> Result<String, FormatError> {
         message: format!("invalid utf-8 at byte offset {off}"),
         line: 0,
     })
+}
+
+/// Reads the count of a section of length-prefixed string records and
+/// rejects it unless the bytes left could hold that many records (each is
+/// at least its 4-byte length prefix), so a corrupt header cannot make the
+/// decoder reserve memory out of proportion to the input.
+fn record_count(data: &mut Bytes, total: usize, what: &str) -> Result<usize, FormatError> {
+    let count = checked_u32(data, total, what)? as usize;
+    if count > data.remaining() / 4 {
+        return Err(FormatError {
+            message: format!(
+                "{what} {count} exceeds the {} bytes left at byte offset {}",
+                data.remaining(),
+                total - data.remaining() - 4
+            ),
+            line: 0,
+        });
+    }
+    Ok(count)
 }
 
 fn checked_u32(data: &mut Bytes, total: usize, what: &str) -> Result<u32, FormatError> {
@@ -701,6 +724,19 @@ w c u
         let mut bytes = to_binary(&g).to_vec();
         bytes.truncate(bytes.len() - 3);
         assert!(from_binary(Bytes::from(bytes)).is_err());
+    }
+
+    #[test]
+    fn binary_counts_are_bounded_by_the_input() {
+        // A 9-byte header claiming 2^32 - 1 labels must be refused before
+        // anything is reserved for them, and likewise a named-node count.
+        let err = from_binary(Bytes::from(b"CRPQ\x01\xff\xff\xff\xff".to_vec())).unwrap_err();
+        assert!(err.message.contains("label count"), "{err}");
+        let mut named = b"CRPQ\x02\x00\x00\x00\x00".to_vec();
+        named.push(NAMES_NAMED);
+        named.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = from_binary(Bytes::from(named)).unwrap_err();
+        assert!(err.message.contains("node count"), "{err}");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! * **simple paths** (no repeated node) and **simple cycles** — the
 //!   building blocks of both injective semantics; NP-complete in data
 //!   complexity even for fixed small languages [Mendelzon & Wood 1995],
-//!   implemented as backtracking DFS over `(node, NFA state-set)` with a
-//!   visited set;
+//!   implemented as one backtracking DFS over `(node, NFA state-set)`
+//!   ([`search_simple_paths`]; a cycle is the search with `dst = src`)
+//!   whose visited set and state-set stack are pooled by the caller, so a
+//!   search costs `O(nodes visited)`, never `O(|V|)`;
 //! * **trails** (no repeated edge) — the edge-injective variant discussed in
 //!   the paper's outlook (§7), provided as an extension.
 //!
@@ -2202,6 +2204,210 @@ pub fn rpq_pairs<G: GraphView>(g: &G, nfa: &Nfa) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
+/// The NFA state sets the simple-path search needs, computed once per
+/// automaton rather than once per search: the **useful** states (reachable
+/// from an initial state and co-reachable to a final one) and the useful
+/// initial states.
+#[derive(Clone, Debug)]
+pub struct PathStates {
+    useful: BitSet,
+    initial: BitSet,
+}
+
+impl PathStates {
+    /// Computes the useful and useful-initial state sets of `nfa`.
+    pub fn new(nfa: &Nfa) -> Self {
+        let useful = nfa.useful_states();
+        let mut initial = nfa.initials().clone();
+        initial.intersect_with(&useful);
+        PathStates { useful, initial }
+    }
+}
+
+/// Pooled working memory of [`search_simple_paths`], sized once per graph
+/// and reused across searches, so a search costs `O(nodes it visits)` and
+/// allocates nothing after warm-up.
+pub struct SimplePathScratch {
+    /// The nodes a path may not pass through. The caller fills it with its
+    /// blocked nodes; while a search runs it also holds the source and the
+    /// internal nodes of the path under construction. Every search removes
+    /// what it inserted before returning, so between searches it holds
+    /// exactly what the caller put there.
+    pub visited: BitSet,
+    /// NFA state-set stack: `⌈|Q|/64⌉` words per DFS depth, nested
+    /// searches stacked above the frames of the search that called them.
+    states: Vec<u64>,
+    /// Node-sequence buffers, one per search in progress.
+    paths: Vec<Vec<NodeId>>,
+}
+
+impl SimplePathScratch {
+    /// A scratch whose visited set starts as `blocked` (sized for the
+    /// graph: `g.node_set()` blocks nothing).
+    pub fn new(blocked: BitSet) -> Self {
+        SimplePathScratch {
+            visited: blocked,
+            states: Vec::new(),
+            paths: Vec::new(),
+        }
+    }
+}
+
+/// Enumerates the **simple paths** from `src` to `dst` (nodes pairwise
+/// distinct) whose label is in `L(nfa)` and whose internal nodes avoid
+/// `scratch.visited`. With `dst == src` it enumerates the **simple cycles**
+/// at `src` instead (internal nodes pairwise distinct and different from
+/// `src`), starting with the empty cycle `[src]` when `ε ∈ L(nfa)`.
+/// `states` must be [`PathStates::new`]`(nfa)`.
+///
+/// `visit` receives each path as its node sequence, both endpoints
+/// included, together with the scratch, whose visited set then holds the
+/// caller's blocked nodes, `src` and the path's internal nodes. So `visit`
+/// may start a nested search that must avoid the path found so far — the
+/// query-injective joint placement does exactly that. The search removes
+/// every node it inserted before it returns, also after a `Break`, so the
+/// visited set comes back bit-identical.
+///
+/// The same node sequence may be visited more than once if parallel edges
+/// with different labels both complete an accepting run. Returns `Break`
+/// iff `visit` did.
+pub fn search_simple_paths<G, F>(
+    g: &G,
+    nfa: &Nfa,
+    states: &PathStates,
+    src: NodeId,
+    dst: NodeId,
+    scratch: &mut SimplePathScratch,
+    mut visit: F,
+) -> ControlFlow<()>
+where
+    G: GraphView,
+    F: FnMut(&[NodeId], &mut SimplePathScratch) -> ControlFlow<()>,
+{
+    if src == dst && nfa.accepts_epsilon() {
+        visit(&[src], scratch)?;
+    }
+    if states.initial.is_empty() {
+        return ControlFlow::Continue(());
+    }
+    let base = scratch.states.len();
+    scratch.states.extend_from_slice(states.initial.words());
+    let inserted = scratch.visited.insert(src.index());
+    let mut path = scratch.paths.pop().unwrap_or_default();
+    path.clear();
+    path.push(src);
+    let flow = dfs_simple(g, nfa, states, dst, &mut path, scratch, base, &mut visit);
+    scratch.paths.push(path);
+    if inserted {
+        scratch.visited.remove(src.index());
+    }
+    scratch.states.truncate(base);
+    flow
+}
+
+/// One DFS level: `path` ends at the node being expanded, whose NFA states
+/// are the `frame`-th words of the state stack; the image on an edge's
+/// label goes into the frame right above it, computed once per run of
+/// same-label edges (out-edges come sorted by label).
+fn dfs_simple<G, F>(
+    g: &G,
+    nfa: &Nfa,
+    states: &PathStates,
+    dst: NodeId,
+    path: &mut Vec<NodeId>,
+    scratch: &mut SimplePathScratch,
+    frame: usize,
+    visit: &mut F,
+) -> ControlFlow<()>
+where
+    G: GraphView,
+    F: FnMut(&[NodeId], &mut SimplePathScratch) -> ControlFlow<()>,
+{
+    let useful = states.useful.words();
+    let next = frame + useful.len();
+    scratch.states.resize(next + useful.len(), 0);
+    let here = *path.last().unwrap(); // invariant: path starts seeded with the source
+    let (mut label, mut live, mut accepting) = (None, false, false);
+    for (sym, to) in g.out_edges_iter(here) {
+        if to != dst && scratch.visited.contains(to.index()) {
+            continue;
+        }
+        if label != Some(sym) {
+            label = Some(sym);
+            (live, accepting) = step_states(nfa, useful, &mut scratch.states[frame..], sym);
+        }
+        if to == dst {
+            if accepting {
+                path.push(to);
+                let flow = visit(path, scratch);
+                path.pop();
+                flow?;
+            }
+        } else if live {
+            scratch.visited.insert(to.index());
+            path.push(to);
+            let flow = dfs_simple(g, nfa, states, dst, path, scratch, next, visit);
+            path.pop();
+            scratch.visited.remove(to.index());
+            flow?;
+        }
+    }
+    ControlFlow::Continue(())
+}
+
+/// Writes `δ(S, sym) ∩ useful` over the first `|useful|` words of
+/// `frames` (the set `S`) into the next `|useful|` words; returns whether
+/// the image is non-empty and whether it holds a final state.
+fn step_states(nfa: &Nfa, useful: &[u64], frames: &mut [u64], sym: Symbol) -> (bool, bool) {
+    let (current, image) = frames.split_at_mut(useful.len());
+    let image = &mut image[..useful.len()];
+    image.fill(0);
+    for (w, &word) in current.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let q = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            for t in nfa.successors(q as StateId, sym) {
+                image[t as usize / 64] |= 1 << (t % 64);
+            }
+        }
+    }
+    let (mut live, mut accepting) = (false, false);
+    for ((x, &u), &f) in image.iter_mut().zip(useful).zip(nfa.finals().words()) {
+        *x &= u;
+        live |= *x != 0;
+        accepting |= *x & f != 0;
+    }
+    (live, accepting)
+}
+
+/// Runs [`search_simple_paths`] with a one-off scratch blocking `blocked`:
+/// the allocating entry point behind the public wrappers below.
+fn search_blocked<G, F>(
+    g: &G,
+    nfa: &Nfa,
+    src: NodeId,
+    dst: NodeId,
+    blocked: &BitSet,
+    mut visit: F,
+) -> bool
+where
+    G: GraphView,
+    F: FnMut(&[NodeId]) -> ControlFlow<()>,
+{
+    let mut scratch = SimplePathScratch::new(blocked.clone());
+    search_simple_paths(
+        g,
+        nfa,
+        &PathStates::new(nfa),
+        src,
+        dst,
+        &mut scratch,
+        |path, _| visit(path),
+    )
+    .is_continue()
+}
+
 /// Whether a **simple path** from `src` to `dst` (all nodes pairwise
 /// distinct) has its label in `L(nfa)`, with no internal node in `blocked`.
 ///
@@ -2214,21 +2420,16 @@ pub fn simple_path_exists<G: GraphView>(
     dst: NodeId,
     blocked: &BitSet,
 ) -> bool {
-    let mut found = false;
-    for_each_simple_path(g, nfa, src, dst, blocked, |_| {
-        found = true;
-        ControlFlow::Break(())
-    });
-    found
+    !for_each_simple_path(g, nfa, src, dst, blocked, |_| ControlFlow::Break(()))
 }
 
 /// Enumerates simple paths from `src` to `dst` with label in `L(nfa)` whose
 /// internal nodes avoid `blocked`, invoking `visit` with the node sequence
-/// (including both endpoints; the empty path yields `[src]`).
+/// (including both endpoints; the empty path yields `[src]`). A thin
+/// wrapper over [`search_simple_paths`] that allocates its own scratch;
+/// callers running many searches should pool one instead.
 ///
-/// The same node sequence may be visited more than once if parallel edges
-/// with different labels both complete an accepting run. Returns `true` if
-/// enumeration ran to completion (no early break).
+/// Returns `true` if enumeration ran to completion (no early break).
 pub fn for_each_simple_path<G, F>(
     g: &G,
     nfa: &Nfa,
@@ -2243,174 +2444,16 @@ where
 {
     if src == dst {
         // The empty path is the only simple path from a node to itself.
-        if nfa.accepts_epsilon() {
-            return visit(&[src]).is_continue();
-        }
-        return true;
+        return !nfa.accepts_epsilon() || visit(&[src]).is_continue();
     }
-    let useful = nfa.useful_states();
-    let mut initial = nfa.initials().clone();
-    initial.intersect_with(&useful);
-    if initial.is_empty() {
-        return true;
-    }
-    let mut visited = g.node_set();
-    visited.insert(src.index());
-    let mut path = vec![src];
-    dfs_simple(
-        g,
-        nfa,
-        dst,
-        blocked,
-        &useful,
-        &mut visited,
-        &mut path,
-        initial,
-        &mut visit,
-    )
-    .is_continue()
-}
-
-fn dfs_simple<G, F>(
-    g: &G,
-    nfa: &Nfa,
-    dst: NodeId,
-    blocked: &BitSet,
-    useful: &BitSet,
-    visited: &mut BitSet,
-    path: &mut Vec<NodeId>,
-    states: BitSet,
-    visit: &mut F,
-) -> ControlFlow<()>
-where
-    G: GraphView,
-    F: FnMut(&[NodeId]) -> ControlFlow<()>,
-{
-    let here = *path.last().unwrap(); // invariant: path starts seeded with the source
-    for (sym, to) in g.out_edges_iter(here) {
-        if to == dst {
-            let image = nfa.delta_set(&states, sym);
-            if image.intersects(nfa.finals()) {
-                path.push(to);
-                let flow = visit(path);
-                path.pop();
-                flow?;
-            }
-            continue;
-        }
-        if visited.contains(to.index()) || blocked.contains(to.index()) {
-            continue;
-        }
-        let mut image = nfa.delta_set(&states, sym);
-        image.intersect_with(useful);
-        if image.is_empty() {
-            continue;
-        }
-        visited.insert(to.index());
-        path.push(to);
-        let flow = dfs_simple(g, nfa, dst, blocked, useful, visited, path, image, visit);
-        path.pop();
-        visited.remove(to.index());
-        flow?;
-    }
-    ControlFlow::Continue(())
+    search_blocked(g, nfa, src, dst, blocked, visit)
 }
 
 /// Whether a **simple cycle** at `at` (internal nodes pairwise distinct and
 /// different from `at`) has its label in `L(nfa)`, with no internal node in
 /// `blocked`. The empty cycle counts iff `ε ∈ L(nfa)`.
 pub fn simple_cycle_exists<G: GraphView>(g: &G, nfa: &Nfa, at: NodeId, blocked: &BitSet) -> bool {
-    let mut found = false;
-    for_each_simple_cycle(g, nfa, at, blocked, |_| {
-        found = true;
-        ControlFlow::Break(())
-    });
-    found
-}
-
-/// Enumerates simple cycles at `at` with label in `L(nfa)`, visiting the node
-/// sequence `[at, …, at]` (the empty cycle yields `[at]`).
-/// Returns `true` if enumeration completed.
-pub fn for_each_simple_cycle<G, F>(
-    g: &G,
-    nfa: &Nfa,
-    at: NodeId,
-    blocked: &BitSet,
-    mut visit: F,
-) -> bool
-where
-    G: GraphView,
-    F: FnMut(&[NodeId]) -> ControlFlow<()>,
-{
-    if nfa.accepts_epsilon() && visit(&[at]).is_break() {
-        return false;
-    }
-    let useful = nfa.useful_states();
-    let mut initial = nfa.initials().clone();
-    initial.intersect_with(&useful);
-    if initial.is_empty() {
-        return true;
-    }
-    let mut visited = g.node_set();
-    visited.insert(at.index());
-    let mut path = vec![at];
-    dfs_cycle(
-        g,
-        nfa,
-        at,
-        blocked,
-        &useful,
-        &mut visited,
-        &mut path,
-        initial,
-        &mut visit,
-    )
-    .is_continue()
-}
-
-fn dfs_cycle<G, F>(
-    g: &G,
-    nfa: &Nfa,
-    at: NodeId,
-    blocked: &BitSet,
-    useful: &BitSet,
-    visited: &mut BitSet,
-    path: &mut Vec<NodeId>,
-    states: BitSet,
-    visit: &mut F,
-) -> ControlFlow<()>
-where
-    G: GraphView,
-    F: FnMut(&[NodeId]) -> ControlFlow<()>,
-{
-    let here = *path.last().unwrap(); // invariant: path starts seeded with the source
-    for (sym, to) in g.out_edges_iter(here) {
-        if to == at {
-            let image = nfa.delta_set(&states, sym);
-            if image.intersects(nfa.finals()) {
-                path.push(to);
-                let flow = visit(path);
-                path.pop();
-                flow?;
-            }
-            continue;
-        }
-        if visited.contains(to.index()) || blocked.contains(to.index()) {
-            continue;
-        }
-        let mut image = nfa.delta_set(&states, sym);
-        image.intersect_with(useful);
-        if image.is_empty() {
-            continue;
-        }
-        visited.insert(to.index());
-        path.push(to);
-        let flow = dfs_cycle(g, nfa, at, blocked, useful, visited, path, image, visit);
-        path.pop();
-        visited.remove(to.index());
-        flow?;
-    }
-    ControlFlow::Continue(())
+    !search_blocked(g, nfa, at, at, blocked, |_| ControlFlow::Break(()))
 }
 
 /// A labelled edge occurrence, the unit of trail (edge-injective) search.
@@ -2452,9 +2495,7 @@ where
     if src == dst && nfa.accepts_epsilon() && visit(&[]).is_break() {
         return false;
     }
-    let useful = nfa.useful_states();
-    let mut initial = nfa.initials().clone();
-    initial.intersect_with(&useful);
+    let PathStates { useful, initial } = PathStates::new(nfa);
     if initial.is_empty() {
         return true;
     }
@@ -2513,6 +2554,9 @@ mod tests {
     use super::*;
     use crate::db::{GraphBuilder, GraphDb};
     use crpq_automata::parse_regex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     /// Builds the graph and an NFA over its alphabet.
     fn setup(edges: &[(&str, &str, &str)], expr: &str) -> (GraphDb, Nfa) {
@@ -3506,5 +3550,120 @@ mod tests {
         assert_eq!(p.len(), 7);
         assert_eq!(p[0], n(&g, "u"));
         assert_eq!(p[6], n(&g, "u"));
+    }
+
+    /// Brute-force oracle for [`search_simple_paths`]: every node sequence
+    /// from `path[0]` to `dst` with distinct nodes (a cycle when `dst ==
+    /// path[0]`) whose internals avoid `blocked`, kept when some choice of
+    /// edge labels along it is accepted from `states`. No NFA pruning.
+    fn naive_paths(
+        g: &GraphDb,
+        nfa: &Nfa,
+        dst: NodeId,
+        blocked: &BitSet,
+        path: &mut Vec<NodeId>,
+        states: &BitSet,
+        out: &mut BTreeSet<Vec<NodeId>>,
+    ) {
+        let here = *path.last().unwrap();
+        let mut targets: Vec<NodeId> = g.out_edges(here).iter().map(|&(_, v)| v).collect();
+        targets.dedup();
+        for to in targets {
+            let mut next = BitSet::new(nfa.num_states());
+            for &(l, _) in g.out_edges(here).iter().filter(|&&(_, v)| v == to) {
+                next.union_with(&nfa.delta_set(states, l));
+            }
+            if to == dst && next.intersects(nfa.finals()) {
+                out.insert([&path[..], &[to]].concat());
+            } else if to != dst && !path.contains(&to) && !blocked.contains(to.index()) {
+                path.push(to);
+                naive_paths(g, nfa, dst, blocked, path, &next, out);
+                path.pop();
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_search_matches_naive_oracle_and_restores_visited() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let (mut found, mut wide_found) = (0, 0);
+        for round in 0..120 {
+            let n = rng.gen_range(3..8);
+            let mut b = GraphBuilder::anonymous(n);
+            let labels: Vec<Symbol> = ["a", "b", "c"].iter().map(|l| b.label(l)).collect();
+            for _ in 0..rng.gen_range(n..3 * n) {
+                let (u, v) = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
+                b.edge_ids(NodeId(u), labels[rng.gen_range(0..3)], NodeId(v));
+            }
+            let g = b.finish();
+            // Every fourth NFA has more than 64 states, so the state sets
+            // take two words per DFS depth.
+            let wide = round % 4 == 0;
+            let q = if wide { 70 } else { 4 };
+            let pick = |rng: &mut StdRng, k: usize| -> Vec<(Symbol, StateId)> {
+                let draw = |_| (labels[rng.gen_range(0..3)], rng.gen_range(0..q) as StateId);
+                (0..k).map(draw).collect()
+            };
+            let transitions = (0..q).map(|_| pick(&mut rng, 3)).collect();
+            let initials = pick(&mut rng, 2).into_iter().map(|(_, s)| s);
+            let finals = pick(&mut rng, 1 + q / 3).into_iter().map(|(_, s)| s);
+            let nfa = Nfa::from_parts(transitions, initials, finals);
+            let states = PathStates::new(&nfa);
+            // One scratch per graph, pooled across searches.
+            let mut scratch = SimplePathScratch::new(BitSet::new(n));
+            for _ in 0..12 {
+                let src = NodeId(rng.gen_range(0..n) as u32);
+                let dst = [src, NodeId(rng.gen_range(0..n) as u32)][usize::from(rng.gen_bool(0.7))];
+                scratch.visited.clear();
+                for v in (0..n).filter(|_| rng.gen_bool(0.2)) {
+                    scratch.visited.insert(v);
+                }
+                if rng.gen_bool(0.3) {
+                    scratch.visited.insert(src.index());
+                }
+                let blocked = scratch.visited.clone();
+                let mut expect = BTreeSet::new();
+                if src == dst && nfa.accepts_epsilon() {
+                    expect.insert(vec![src]);
+                }
+                let (mut path, initials) = (vec![src], nfa.initials());
+                naive_paths(&g, &nfa, dst, &blocked, &mut path, initials, &mut expect);
+
+                let mut got = BTreeSet::new();
+                let flow =
+                    search_simple_paths(&g, &nfa, &states, src, dst, &mut scratch, |p, sc| {
+                        let internals = p.iter().skip(1).take(p.len().saturating_sub(2));
+                        assert!(internals.copied().all(|v| sc.visited.contains(v.index())));
+                        got.insert(p.to_vec());
+                        ControlFlow::Continue(())
+                    });
+                assert!(flow.is_continue());
+                assert_eq!(got, expect, "round {round}: {src:?} -> {dst:?}");
+                assert_eq!(scratch.visited, blocked, "a full search restores the set");
+
+                let mut first = None;
+                let flow =
+                    search_simple_paths(&g, &nfa, &states, src, dst, &mut scratch, |p, _| {
+                        first = Some(p.to_vec());
+                        ControlFlow::Break(())
+                    });
+                assert_eq!(flow.is_break(), !expect.is_empty());
+                assert!(first.is_none_or(|p| expect.contains(&p)));
+                assert_eq!(scratch.visited, blocked, "an early Break restores the set");
+
+                let exists = if src == dst {
+                    simple_cycle_exists(&g, &nfa, src, &blocked)
+                } else {
+                    simple_path_exists(&g, &nfa, src, dst, &blocked)
+                };
+                assert_eq!(exists, !expect.is_empty(), "round {round}: wrapper");
+                found += usize::from(!expect.is_empty());
+                wide_found += usize::from(wide && !expect.is_empty());
+            }
+        }
+        assert!(
+            found > 100 && wide_found > 10,
+            "vacuous: {found} / {wide_found}"
+        );
     }
 }

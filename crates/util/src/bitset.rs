@@ -24,11 +24,7 @@ impl BitSet {
 
     /// Creates a set containing all of `0..capacity`.
     pub fn full(capacity: usize) -> Self {
-        let mut s = Self::new(capacity);
-        for i in 0..capacity {
-            s.insert(i);
-        }
-        s
+        Self::from_words(vec![!0; capacity.div_ceil(64)], capacity)
     }
 
     /// Builds a set directly from backing words (bit `i` of word `w` is
@@ -43,6 +39,13 @@ impl BitSet {
             }
         }
         Self { words, capacity }
+    }
+
+    /// The backing words (bit `i` of word `w` is value `w·64 + i`; bits at
+    /// or beyond the capacity are zero).
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Capacity (one past the largest storable value).

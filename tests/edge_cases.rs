@@ -250,6 +250,60 @@ fn simple_cycle_excludes_shorter_revisits() {
 }
 
 #[test]
+fn query_injective_placement_backtracks_to_a_later_path() {
+    use crpq::core::{eval_tuples_with, eval_witness, verify_witness, EvalStrategy};
+    // Atom 1 can run through m1 or m2 and the search tries m1 (lower id)
+    // first, but atom 2's only path runs through m1: q-inj must give up
+    // atom 1's first path. Without the m2 path only a-inj holds. Second
+    // case: atom 1 is a cycle at x, atom 2 leaves x.
+    let cases = [
+        (
+            "(x, z) <- x -[a a]-> y, y -[b b]-> z",
+            [
+                ("u", "a", "m1"),
+                ("m1", "a", "v"),
+                ("u", "a", "m2"),
+                ("m2", "a", "v"),
+            ],
+        ),
+        (
+            "(x, y) <- x -[a a]-> x, x -[b b]-> y",
+            [
+                ("u", "a", "m1"),
+                ("m1", "a", "u"),
+                ("u", "a", "m2"),
+                ("m2", "a", "u"),
+            ],
+        ),
+    ];
+    for (query, atom1) in cases {
+        let atom2 = [(atom1[1].2, "b", "m1"), ("m1", "b", "w")];
+        for (edges, qinj) in [(&atom1[..], true), (&atom1[..2], false)] {
+            let mut g = graph(&[edges, &atom2[..]].concat());
+            let q = parse_query(query, g.alphabet_mut()).unwrap();
+            let (u, w) = (g.node_by_name("u").unwrap(), g.node_by_name("w").unwrap());
+            assert!(eval_contains(&q, &g, &[u, w], Semantics::AtomInjective));
+            assert_eq!(
+                eval_contains(&q, &g, &[u, w], Semantics::QueryInjective),
+                qinj,
+                "{query} over {edges:?}"
+            );
+            for sem in [Semantics::AtomInjective, Semantics::QueryInjective] {
+                let tuples = eval_tuples(&q, &g, sem);
+                assert_eq!(
+                    tuples,
+                    eval_tuples_with(&q, &g, sem, EvalStrategy::Enumerate)
+                );
+                for t in &tuples {
+                    let w = eval_witness(&q, &g, t, sem).expect("member tuple must have witness");
+                    verify_witness(&q, &g, t, sem, &w).expect("witness must verify");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn witness_roundtrip_on_generated_workloads() {
     use crpq::core::{eval_witness, verify_witness};
     let mut sigma = Interner::new();
